@@ -1,14 +1,17 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
+.PHONY: all build vet test test-race bench perfbench-test chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
 
 all: build vet test
 
 build:
 	$(GO) build ./...
 
+# Vet also enforces formatting: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -24,6 +27,13 @@ test-race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The benchmark harness is a nested module (perfbench/go.mod) that
+# ./... does not reach; vet and test it against the current internal
+# packages so an API change there cannot break it unseen.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Fault-injection suite: chaos-backed retry/breaker/degradation tests plus
 # the governance (cancellation, deadline, limit) tests, run twice under the

@@ -165,10 +165,7 @@ func (c *trackedConn) Write(p []byte) (int, error) {
 	if rem > 0 {
 		n, _ = c.Conn.Write(p[:rem])
 	}
-	c.abort()
-	if c.onSever != nil {
-		c.onSever()
-	}
+	c.countAndAbort()
 	return n, net.ErrClosed
 }
 
@@ -181,14 +178,17 @@ func (c *trackedConn) sever() {
 	}
 	c.dead = true
 	c.mu.Unlock()
-	c.abort()
+	c.countAndAbort()
+}
+
+// countAndAbort records the sever, then closes the underlying socket with
+// linger disabled (RST). The count comes first: the peer can observe the
+// reset and act on it at once, and by then Severed must already include
+// this connection.
+func (c *trackedConn) countAndAbort() {
 	if c.onSever != nil {
 		c.onSever()
 	}
-}
-
-// abort closes the underlying socket with linger disabled (RST).
-func (c *trackedConn) abort() {
 	if tc, ok := c.Conn.(*net.TCPConn); ok {
 		_ = tc.SetLinger(0)
 	}

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -530,14 +531,39 @@ func (c *Client) rawGet(ctx context.Context, path, accept string) (string, error
 		return "", &TransportError{Op: "send", Err: err}
 	}
 	defer hresp.Body.Close()
-	body, err := io.ReadAll(hresp.Body)
+	buf, err := readBody(hresp.Body)
+	defer releaseBody(buf)
 	if err != nil {
 		return "", &TransportError{Op: "decode", Err: err}
 	}
 	if hresp.StatusCode != http.StatusOK {
-		return "", &APIError{Status: hresp.StatusCode, Code: "internal", Message: string(body)}
+		return "", &APIError{Status: hresp.StatusCode, Code: "internal", Message: buf.String()}
 	}
-	return string(body), nil
+	return buf.String(), nil
+}
+
+// bodyPool recycles response-body buffers. A path-heavy answer runs to
+// megabytes, which io.ReadAll would regrow from scratch, and drop, on
+// every request.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffers kept for reuse, so one outsized answer
+// does not pin its memory in the pool.
+const maxPooledBody = 16 << 20
+
+// readBody reads a response body into a pooled buffer. The caller hands
+// it back through releaseBody once decoded and must not keep its bytes.
+func readBody(r io.Reader) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r)
+	return buf, err
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }
 
 // ---- transport ----
@@ -601,11 +627,13 @@ func (c *Client) do(req *http.Request, into any) error {
 			c.observeEpoch(e)
 		}
 	}
-	raw, err := io.ReadAll(hresp.Body)
+	buf, err := readBody(hresp.Body)
+	defer releaseBody(buf)
 	if err != nil {
 		// The connection died mid-response: the body is incomplete.
 		return &TransportError{Op: "decode", Err: err}
 	}
+	raw := buf.Bytes()
 	if hresp.StatusCode < 200 || hresp.StatusCode > 299 {
 		traceID := hresp.Header.Get(obs.TraceHeader)
 		retryAfter := parseRetryAfter(hresp.Header.Get("Retry-After"))
@@ -657,6 +685,9 @@ func decodeResult(resp *server.QueryResponse) *Result {
 		AppliedThrough: resp.AppliedThrough,
 		Epoch:          resp.Epoch,
 		Digest:         resp.Digest,
+	}
+	if len(resp.Rows) > 0 {
+		out.Rows = make([]Row, 0, len(resp.Rows))
 	}
 	for _, row := range resp.Rows {
 		r := Row{Values: make([]any, len(row.Values)), Coexist: server.IntervalsIn(row.Coexist)}

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -115,10 +114,12 @@ func (c *Client) WatchPoll(ctx context.Context, from uint64, o *WatchOptions) (*
 			c.observeEpoch(e)
 		}
 	}
-	raw, err := io.ReadAll(hresp.Body)
+	buf, err := readBody(hresp.Body)
+	defer releaseBody(buf)
 	if err != nil {
 		return nil, &TransportError{Op: "decode", Err: err}
 	}
+	raw := buf.Bytes()
 	if hresp.StatusCode != http.StatusOK {
 		apiErr := decodeAPIError(hresp, raw)
 		if errors.Is(apiErr, ErrWatchCompacted) {

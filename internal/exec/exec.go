@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -223,11 +224,11 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 	// Pathway-set aggregation: count(P) counts distinct pathways bound to
 	// the variable across the result rows and collapses to a single row.
 	if len(a.Query.Projs) > 0 && a.Query.Projs[0].Fn == query.FnCount {
-		out := Row{Bindings: map[string]plan.Pathway{}}
+		var out Row
 		for _, t := range a.Query.Projs {
 			distinct := map[string]bool{}
 			for _, row := range rows {
-				if p, ok := row.bind[t.Var]; ok {
+				if p, ok := row.bind.lookup(t.Var); ok {
 					distinct[p.Key()] = true
 				}
 			}
@@ -236,8 +237,9 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 		res.Rows = append(res.Rows, out)
 		return res, nil
 	}
+	res.Rows = make([]Row, 0, len(rows))
 	for _, row := range rows {
-		out := Row{Bindings: row.bind, Coexist: row.coexist, VarTimes: row.varTimes}
+		out := Row{Values: make([]any, 0, len(a.Query.Projs)), Coexist: row.coexist, bind: row.bind}
 		for _, t := range a.Query.Projs {
 			v, err := x.termValue(a, t, row)
 			if err != nil {
@@ -252,10 +254,9 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 
 // workRow is a candidate tuple during join processing.
 type workRow struct {
-	bind     map[string]plan.Pathway
-	views    map[string]graph.View
-	coexist  temporal.Set
-	varTimes map[string]temporal.Set
+	bind    *binding
+	views   map[string]graph.View
+	coexist temporal.Set
 }
 
 // rows materializes the joined tuples of a query. outer supplies bindings
@@ -279,12 +280,12 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 	// Evaluate variables in order, growing the tuple set and applying join
 	// predicates as soon as both sides are bound (pushing selections into
 	// the nested-loops join).
-	tuples := []workRow{{bind: map[string]plan.Pathway{}, views: views, varTimes: map[string]temporal.Set{}}}
+	tuples := []workRow{{views: views}}
 	bound := map[string]bool{}
 	if outer != nil {
-		for name, p := range outer.bind {
-			tuples[0].bind[name] = p
-			bound[name] = true
+		tuples[0].bind = outer.bind
+		for b := outer.bind; b != nil; b = b.next {
+			bound[b.name] = true
 		}
 		for name, v := range outer.views {
 			if _, shadowed := views[name]; !shadowed {
@@ -316,14 +317,12 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 				}
 				tupViews[step.name] = usedView
 			}
+			next = slices.Grow(next, len(paths))
 			for _, p := range paths {
 				nt := workRow{
-					bind:     cloneBind(tup.bind),
-					views:    tupViews,
-					varTimes: cloneTimes(tup.varTimes),
+					bind:  &binding{name: step.name, path: p, next: tup.bind},
+					views: tupViews,
 				}
-				nt.bind[step.name] = p
-				nt.varTimes[step.name] = p.Validity
 				if x.joinsSatisfied(a, joins, nt) {
 					next = append(next, nt)
 				}
@@ -337,14 +336,10 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 	// must coexist and the row reports the maximal coexistence ranges.
 	if !perVarTimes {
 		window := x.windowFor(q)
-		var kept []workRow
+		kept := make([]workRow, 0, len(tuples))
 		for _, tup := range tuples {
 			co := coexistence(q, tup)
-			if co.IsEmpty() {
-				continue
-			}
-			overlap := co.Intersect(temporal.Set{window})
-			if overlap.IsEmpty() {
+			if !overlapsWindow(co, window) {
 				continue
 			}
 			tup.coexist = co
@@ -587,7 +582,7 @@ func (x *Executor) seedsFor(step evalStep, tup workRow, eng *plan.Engine) ([]gra
 	if !step.seeded {
 		return nil, nil
 	}
-	seedPath, ok := tup.bind[step.seedVar]
+	seedPath, ok := tup.bind.lookup(step.seedVar)
 	if !ok {
 		return nil, fmt.Errorf("exec: internal: seed variable %q not bound", step.seedVar)
 	}
@@ -633,7 +628,7 @@ func applyViewFilter(a *query.Analyzed, varName string, view graph.View, paths [
 	st := view.Store()
 	out := paths[:0]
 	for _, p := range paths {
-		vv := plan.ComputeValidity(st, vc, p.Elems)
+		vv := plan.ComputeValidity(st, vc, p.Elems, nil)
 		joint := p.Validity.Intersect(vv)
 		if joint.IsEmpty() {
 			continue
@@ -687,7 +682,7 @@ func translateSeed(from, to *graph.Store, seed graph.UID) ([]graph.UID, error) {
 // the tuple (just-bound variable included).
 func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, tup workRow) bool {
 	isBound := func(v string) bool {
-		_, ok := tup.bind[v]
+		_, ok := tup.bind.lookup(v)
 		return ok
 	}
 	for _, jp := range joins {
@@ -710,7 +705,7 @@ func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, tu
 // joinValue computes a join term's comparable value: the endpoint node's
 // unique id (store-independent identity), a field value, or the length.
 func (x *Executor) joinValue(a *query.Analyzed, t query.Term, tup workRow) (any, error) {
-	p, ok := tup.bind[t.Var]
+	p, ok := tup.bind.lookup(t.Var)
 	if !ok {
 		return nil, fmt.Errorf("exec: unbound variable %q", t.Var)
 	}
@@ -746,14 +741,15 @@ func (x *Executor) joinValue(a *query.Analyzed, t query.Term, tup workRow) (any,
 // termValue computes a projection value for a finished row.
 func (x *Executor) termValue(a *query.Analyzed, t query.Term, row workRow) (any, error) {
 	if t.Fn == query.FnNone {
-		return row.bind[t.Var], nil
+		p, _ := row.bind.lookup(t.Var)
+		return p, nil
 	}
 	return x.joinValue(a, t, row)
 }
 
 // applyNotExists filters tuples through one NOT EXISTS subquery.
 func (x *Executor) applyNotExists(sub *query.Analyzed, tuples []workRow, rc *runCtx) ([]workRow, error) {
-	var kept []workRow
+	kept := make([]workRow, 0, len(tuples))
 	for _, tup := range tuples {
 		subRows, _, err := x.rows(sub, &tup, rc)
 		if err != nil {
@@ -828,7 +824,7 @@ func coexistence(q *query.Query, tup workRow) temporal.Set {
 	var co temporal.Set
 	first := true
 	for _, rv := range q.Vars {
-		p, ok := tup.bind[rv.Name]
+		p, ok := tup.bind.lookup(rv.Name)
 		if !ok {
 			continue
 		}
@@ -842,13 +838,28 @@ func coexistence(q *query.Query, tup workRow) temporal.Set {
 	return co
 }
 
+// overlapsWindow reports whether any non-empty range of s overlaps w:
+// whether s.Intersect(temporal.Set{w}) is non-empty, without building it.
+func overlapsWindow(s temporal.Set, w temporal.Interval) bool {
+	for _, iv := range s {
+		if !iv.IsEmpty() && iv.Overlaps(w) {
+			return true
+		}
+	}
+	return false
+}
+
 // aggregate computes First/Last/When-Exists over the row times.
 func aggregate(q *query.Query, rows []workRow, perVar bool) *AggValue {
 	var all temporal.Set
 	for _, tup := range rows {
 		if perVar {
-			for _, s := range tup.varTimes {
-				all = append(all, s...)
+			// Each of the query's own variables contributes its pathway's
+			// maximal validity ranges.
+			for _, rv := range q.Vars {
+				if p, ok := tup.bind.lookup(rv.Name); ok {
+					all = append(all, p.Validity...)
+				}
 			}
 			continue
 		}
@@ -895,22 +906,6 @@ func splitPreds(a *query.Analyzed) ([]*query.JoinPred, []*query.Analyzed) {
 		}
 	}
 	return joins, subs
-}
-
-func cloneBind(m map[string]plan.Pathway) map[string]plan.Pathway {
-	out := make(map[string]plan.Pathway, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneTimes(m map[string]temporal.Set) map[string]temporal.Set {
-	out := make(map[string]temporal.Set, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // valueEqual compares join values with numeric canonicalization.

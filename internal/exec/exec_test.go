@@ -230,7 +230,9 @@ func TestPerVariableTimes(t *testing.T) {
 		if row.Coexist != nil {
 			t.Error("per-variable query must not compute coexistence")
 		}
-		if len(row.VarTimes["P"]) == 0 || len(row.VarTimes["Q"]) == 0 {
+		p, _ := row.Binding("P")
+		q, _ := row.Binding("Q")
+		if len(p.Validity) == 0 || len(q.Validity) == 0 {
 			t.Error("per-variable times missing")
 		}
 	})
@@ -361,7 +363,7 @@ func TestMultiStoreIntegration(t *testing.T) {
 	// Every Phys pathway must live in store 2 and start at the host-1
 	// counterpart there.
 	for _, row := range res.Rows {
-		p := row.Bindings["Phys"]
+		p, _ := row.Binding("Phys")
 		src := st2.Object(p.Source())
 		if src == nil {
 			t.Fatal("Phys pathway source not in the routed store")

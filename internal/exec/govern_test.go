@@ -257,11 +257,12 @@ func TestDegradeFallbackAgreesWithHealthy(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for _, row := range res.Rows {
-		got[row.Bindings["Phys"].Key()] = true
+		p, _ := row.Binding("Phys")
+		got[p.Key()] = true
 	}
 	for _, row := range want.Rows {
-		if !got[row.Bindings["Phys"].Key()] {
-			t.Errorf("healthy pathway %s missing from degraded result", row.Bindings["Phys"].Key())
+		if p, _ := row.Binding("Phys"); !got[p.Key()] {
+			t.Errorf("healthy pathway %s missing from degraded result", p.Key())
 		}
 	}
 }

@@ -30,14 +30,35 @@ type Row struct {
 	// Values holds the projected values in projection order: a
 	// plan.Pathway for Retrieve, scalars for Select terms.
 	Values []any
-	// Bindings maps each range variable to its pathway.
-	Bindings map[string]plan.Pathway
 	// Coexist is the maximal range during which all bound pathways
 	// coexisted; populated for query-level time semantics.
 	Coexist temporal.Set
-	// VarTimes holds each variable's own maximal validity ranges;
-	// populated when variables carry their own time bindings.
-	VarTimes map[string]temporal.Set
+
+	bind *binding
+}
+
+// Binding returns the pathway bound to a range variable in this row. A
+// variable's own maximal validity ranges, which queries with per-variable
+// time bindings report separately, are the pathway's Validity.
+func (r Row) Binding(name string) (plan.Pathway, bool) { return r.bind.lookup(name) }
+
+// binding is one link of a row's variable bindings. Binding a variable
+// puts one node in front of the list of the row being extended, so the
+// rows a join grows share their common bindings instead of copying them.
+type binding struct {
+	name string
+	path plan.Pathway
+	next *binding
+}
+
+// lookup returns the pathway of the most recent binding of name.
+func (b *binding) lookup(name string) (plan.Pathway, bool) {
+	for ; b != nil; b = b.next {
+		if b.name == name {
+			return b.path, true
+		}
+	}
+	return plan.Pathway{}, false
 }
 
 // Result is a query's full answer.

@@ -451,6 +451,41 @@ func TestPathwaySetMergesValidity(t *testing.T) {
 	if len(merged) != 1 || !merged[0].End.Equal(t0.Add(2*time.Hour)) {
 		t.Errorf("merged validity = %v", merged)
 	}
+
+	// Enough pathways to regrow the index several times, each added
+	// twice, the second time with a later range to merge.
+	big := plan.NewPathwaySet()
+	for pass := 0; pass < 2; pass++ {
+		iv := temporal.Between(t0.Add(time.Duration(pass)*time.Hour), t0.Add(time.Duration(pass+1)*time.Hour))
+		for i := 0; i < 1000; i++ {
+			big.Add(plan.Pathway{Elems: []graph.UID{graph.UID(i % 7), graph.UID(i), graph.UID(i / 7)}, Validity: temporal.Set{iv}})
+		}
+	}
+	if big.Len() != 1000 {
+		t.Fatalf("set size = %d, want 1000", big.Len())
+	}
+	for i, p := range big.Paths() {
+		if p.Elems[1] != graph.UID(i) || len(p.Validity) != 1 || !p.Validity[0].End.Equal(t0.Add(2*time.Hour)) {
+			t.Fatalf("pathway %d = %v %v, want insertion order and a merged range", i, p.Elems, p.Validity)
+		}
+	}
+}
+
+func TestPathwayRender(t *testing.T) {
+	st, d, _ := demoStore(t)
+	p := runBoth(t, st, graph.CurrentView(st), "VM()->OnServer()->Host()").Paths()[0]
+	var want []string
+	for _, uid := range p.Elems {
+		want = append(want, st.Object(uid).Class.Name+"#"+strconv.FormatInt(int64(uid), 10))
+	}
+	if got := p.Render(st); got != strings.Join(want, " -> ") {
+		t.Errorf("Render = %q, want %q", got, strings.Join(want, " -> "))
+	}
+	missing := plan.Pathway{Elems: []graph.UID{d.Host1, -42}}
+	want = []string{st.Object(d.Host1).Class.Name + "#" + strconv.FormatInt(int64(d.Host1), 10), "?-42"}
+	if got := missing.Render(st); got != strings.Join(want, " -> ") {
+		t.Errorf("Render = %q, want %q", got, strings.Join(want, " -> "))
+	}
 }
 
 func containsStr(haystack, needle string) bool {

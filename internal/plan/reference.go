@@ -19,7 +19,7 @@ func ReferenceEval(view graph.View, c *rpe.Checked) *PathwaySet {
 	lo, hi := st.UIDRange()
 	var extend func(elems []graph.UID)
 	extend = func(elems []graph.UID) {
-		validity := ComputeValidity(st, c, elems)
+		validity := ComputeValidity(st, c, elems, nil)
 		if !validity.IsEmpty() {
 			for _, iv := range validity {
 				if iv.Overlaps(view.Window()) {

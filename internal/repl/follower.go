@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -147,12 +148,26 @@ type Follower struct {
 	stop      chan struct{}
 	done      chan struct{}
 
-	mBatches    *obs.Counter
-	mRecords    *obs.Counter
-	mBytes      *obs.Counter
-	mReconnects *obs.Counter
-	mBootstraps *obs.Counter
-	mDiverged   *obs.Counter
+	// metrics is published by Instrument, which a server may call after
+	// Start, so the pull loop loads it atomically.
+	metrics atomic.Pointer[followerMetrics]
+}
+
+// followerMetrics holds the follower's counters; the zero value (nil
+// counters) counts nothing.
+type followerMetrics struct {
+	batches, records, bytes          *obs.Counter
+	reconnects, bootstraps, diverged *obs.Counter
+}
+
+var noFollowerMetrics followerMetrics
+
+// m returns the published counters, or nil-safe no-ops before Instrument.
+func (f *Follower) m() *followerMetrics {
+	if m := f.metrics.Load(); m != nil {
+		return m
+	}
+	return &noFollowerMetrics
 }
 
 // NewFollower returns an unstarted replication link that replays the
@@ -226,12 +241,14 @@ func (f *Follower) StreamState() StreamState {
 
 // Instrument publishes the follower's counters and lag gauges.
 func (f *Follower) Instrument(reg *obs.Registry) {
-	f.mBatches = reg.Counter("repl.follower.batches")
-	f.mRecords = reg.Counter("repl.follower.records_applied")
-	f.mBytes = reg.Counter("repl.follower.bytes_received")
-	f.mReconnects = reg.Counter("repl.follower.reconnects")
-	f.mBootstraps = reg.Counter("repl.follower.bootstraps")
-	f.mDiverged = reg.Counter("repl.follower.diverged")
+	f.metrics.Store(&followerMetrics{
+		batches:    reg.Counter("repl.follower.batches"),
+		records:    reg.Counter("repl.follower.records_applied"),
+		bytes:      reg.Counter("repl.follower.bytes_received"),
+		reconnects: reg.Counter("repl.follower.reconnects"),
+		bootstraps: reg.Counter("repl.follower.bootstraps"),
+		diverged:   reg.Counter("repl.follower.diverged"),
+	})
 	reg.GaugeFunc("repl.follower.applied_index", func() float64 {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -279,7 +296,7 @@ func (f *Follower) run() {
 			return
 		}
 		f.setErr(err)
-		f.mReconnects.Add(1)
+		f.m().reconnects.Add(1)
 		f.mu.Lock()
 		f.reconnects++
 		f.mu.Unlock()
@@ -442,7 +459,7 @@ func (f *Follower) pull() error {
 		// tail from the new offset. A severed stream resumes from the last
 		// applied record; it never re-bootstraps. The dead connection
 		// forces a fresh dial, so it counts as a reconnect.
-		f.mReconnects.Add(1)
+		f.m().reconnects.Add(1)
 		f.mu.Lock()
 		f.reconnects++
 		f.mu.Unlock()
@@ -477,14 +494,14 @@ func (f *Follower) pull() error {
 		// Mirror the primary's prefix-hash chain record by record, so the
 		// link can always prove which history it applied.
 		h = wal.ChainHash(h, wal.FrameChecksum(batch[:n]))
-		f.mBytes.Add(int64(n))
+		f.m().bytes.Add(int64(n))
 		batch = batch[n:]
 		applied++
 		lastAt = m.At
 	}
 	if applied > from {
-		f.mBatches.Add(1)
-		f.mRecords.Add(int64(applied - from))
+		f.m().batches.Add(1)
+		f.m().records.Add(int64(applied - from))
 	}
 
 	// With the whole batch applied, the locally chained hash must land
@@ -589,7 +606,7 @@ func (f *Follower) bootstrap() error {
 		}
 		return fmt.Errorf("repl: loading snapshot: %w", err)
 	}
-	f.mBootstraps.Add(1)
+	f.m().bootstraps.Add(1)
 	f.mu.Lock()
 	f.applied = resume
 	// The snapshot repositions the link: adopt the source's chain state
@@ -623,7 +640,7 @@ func (f *Follower) setErr(err error) {
 // markDiverged latches the fork flag the moment it is detected (the
 // fatal ErrDiverged that parks the loop lands in LastError separately).
 func (f *Follower) markDiverged() {
-	f.mDiverged.Add(1)
+	f.m().diverged.Add(1)
 	f.mu.Lock()
 	f.diverged = true
 	f.mu.Unlock()

@@ -41,8 +41,17 @@ func (c *Checked) MatchesPathway(elems []Element) bool {
 // be epsilon-closed and is not modified.
 func (c *Checked) simulate(states StateSet, elems []Element, from int) bool {
 	n := c.nfa
-	cur := states.Clone()
-	next := NewStateSet(n.NumStates)
+	// Both working sets live on the stack for automata of up to 256
+	// states: this runs once per candidate pathway.
+	var buf [8]uint64
+	w := len(states)
+	var cur, next StateSet
+	if 2*w <= len(buf) {
+		cur, next = buf[:w:w], buf[w:2*w:2*w]
+	} else {
+		cur, next = make(StateSet, w), make(StateSet, w)
+	}
+	copy(cur, states)
 	for i := from; i < len(elems); i++ {
 		el := &elems[i]
 		isEdge := el.Class.IsEdge()

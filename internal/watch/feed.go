@@ -82,11 +82,11 @@ func (f *WALFeed) Read(from uint64, maxEvents int) ([]Event, uint64, error) {
 	return events, idx, nil
 }
 
-func (f *WALFeed) NextIndex() uint64          { return f.mgr.NextIndex() }
-func (f *WALFeed) BaseIndex() uint64          { return f.mgr.BaseIndex() }
-func (f *WALFeed) Changed() <-chan struct{}   { return f.mgr.Changed() }
-func (f *WALFeed) Epoch() uint64              { return f.mgr.Epoch() }
-func (f *WALFeed) LogID() string              { return f.mgr.LogID() }
+func (f *WALFeed) NextIndex() uint64        { return f.mgr.NextIndex() }
+func (f *WALFeed) BaseIndex() uint64        { return f.mgr.BaseIndex() }
+func (f *WALFeed) Changed() <-chan struct{} { return f.mgr.Changed() }
+func (f *WALFeed) Epoch() uint64            { return f.mgr.Epoch() }
+func (f *WALFeed) LogID() string            { return f.mgr.LogID() }
 
 // FollowerFeed serves the change feed from a replica, so subscribers can
 // be offloaded from the primary. Replicated records bypass the local WAL
